@@ -1,9 +1,8 @@
 package nsync
 
-// BenchmarkFleetLoad measures the sharded ingest daemon as a fleet would
-// load it: a Router spread over several in-process shards serving one
-// SharedPool model, with a wave of concurrent replay clients per benchmark
-// op streaming mixed benign and attack prints. The reported metrics are the
+// BenchmarkFleetLoad measures the ingest daemon as a fleet would load it: one
+// Server serving one SharedPool model, with a wave of concurrent replay
+// clients per benchmark op streaming mixed benign and attack prints. The reported metrics are the
 // operator-facing fleet numbers — completed sessions per core-second, p99
 // verdict latency, and the shed rate — plus a wrong_verdicts count that
 // benchcheck asserts stays zero: a fleet throughput number earned by
@@ -32,8 +31,6 @@ import (
 const (
 	// fleetWave is how many concurrent sessions one benchmark op replays.
 	fleetWave = 32
-	// fleetShards is the router's shard count.
-	fleetShards = 4
 	// fleetAttackEvery sends every Nth session down the attack lane.
 	fleetAttackEvery = 4
 )
@@ -156,7 +153,7 @@ type fleetBenchResult struct {
 }
 
 // BenchmarkFleetLoad replays fleetWave concurrent mixed sessions per op
-// against a fleetShards-way Router serving a SharedPool model, and reports
+// against a Server serving a SharedPool model, and reports
 // sessions_per_core_sec, p99_verdict_ms, shed_rate, and wrong_verdicts.
 func BenchmarkFleetLoad(b *testing.B) {
 	fx := fleetFixture(b)
@@ -164,7 +161,7 @@ func BenchmarkFleetLoad(b *testing.B) {
 	if _, err := pool.Register(fx.model); err != nil {
 		b.Fatal(err)
 	}
-	router, err := ingest.NewRouter(fleetShards, ingest.Config{
+	srv, err := ingest.NewServer(ingest.Config{
 		Factory:       pool,
 		ShedWatermark: 1 << 20, // shedding is not what this benchmark measures
 		ReadTimeout:   30 * time.Second,
@@ -176,11 +173,11 @@ func BenchmarkFleetLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	go router.Serve(l) //nolint:errcheck // exits on Shutdown
+	go srv.Serve(l) //nolint:errcheck // exits on Shutdown
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		if err := router.Shutdown(ctx); err != nil {
+		if err := srv.Shutdown(ctx); err != nil {
 			b.Error(err)
 		}
 	}()

@@ -45,7 +45,7 @@ type journalBenchArm struct {
 	waves    int
 }
 
-// newJournalBenchArm boots a fresh single-shard server over its own pool,
+// newJournalBenchArm boots a fresh server over its own pool,
 // journaling iff j != nil.
 func newJournalBenchArm(b *testing.B, fx *fleetBenchFixture, j *ingest.Journal, tag string) *journalBenchArm {
 	b.Helper()

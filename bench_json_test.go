@@ -83,7 +83,7 @@ func writeBenchJSON(path string) error {
 		// metrics record the drift decay/recovery outcome that benchcheck
 		// asserts on (rebased FPR must end near the fresh-retrain floor).
 		{"DriftSweepACC", benchDriftSweep},
-		// The fleet serving probe: a sharded Router under a wave of mixed
+		// The fleet serving probe: one Server under a wave of mixed
 		// concurrent sessions. Its Extra metrics are the operator-facing
 		// fleet numbers (sessions per core-second, p99 verdict latency,
 		// shed rate) and a wrong_verdicts count benchcheck pins at zero.

@@ -62,8 +62,7 @@ func run() error {
 		eta         = flag.Float64("eta", 0.1, "DWM eta")
 		occMargin   = flag.Float64("r", 0.3, "OCC margin r")
 		queueDepth  = flag.Int("queue", 64, "per-session frame queue depth")
-		watermark   = flag.Int("shed-watermark", 256, "aggregate queued frames before load shedding (divided across shards)")
-		shards      = flag.Int("shards", 1, "in-process listener shards; sessions are consistent-hashed across them")
+		watermark   = flag.Int("shed-watermark", 256, "aggregate queued frames before load shedding")
 		tenantSess  = flag.Int("tenant-sessions", 0, "per-tenant concurrent session quota (0 = unlimited)")
 		tenantQueue = flag.Int("tenant-frames", 0, "per-tenant aggregate queued-frame quota (0 = unlimited)")
 		peersArg    = flag.String("peers", "", "comma-separated addresses of every fleet peer, identical on all of them; enables multi-process clustering (empty: standalone)")
@@ -160,10 +159,9 @@ func run() error {
 	}
 	log.Printf("boot model %s registered (default)", bootVersion)
 
-	// All sessions go through the swap layer so a promoted candidate model
-	// can replace the serving pool under load without dropping sessions.
-	swap := ingest.NewSwapFactory(pool)
-	var factory ingest.SinkFactory = swap
+	// The pool is the whole model lifecycle: a candidate model is shadowed
+	// and promoted on it under load without dropping sessions.
+	var factory ingest.SinkFactory = pool
 	if *rebaseAlpha > 0 {
 		ctrl, err := newController(continuousOptions{
 			Alpha: *rebaseAlpha, Window: *rebaseWindow, Margin: *occMargin,
@@ -173,11 +171,11 @@ func run() error {
 				ShadowSessions: *shadowSess, CanarySessions: *canarySess,
 				DisagreementBudget: *disagreeBgt,
 			},
-		}, chans, feats, specs, swap, pool)
+		}, chans, feats, specs, pool)
 		if err != nil {
 			return err
 		}
-		factory = &captureFactory{inner: swap, ctrl: ctrl}
+		factory = &captureFactory{inner: pool, ctrl: ctrl}
 	}
 	// With -journal, boot replays the session journal before serving: every
 	// session that was in flight when the previous process died comes back
@@ -238,40 +236,16 @@ func run() error {
 		Cluster:             cluster,
 		Logf:                log.Printf,
 	}
-	var srv interface {
-		Serve(net.Listener) error
-		Shutdown(context.Context) error
-		SessionCount() int
+	srv, err := ingest.NewServer(cfg)
+	if err != nil {
+		return err
 	}
-	if *shards > 1 {
-		router, err := ingest.NewRouter(*shards, cfg)
-		if err != nil {
-			return err
-		}
-		log.Printf("sharded routing: %d shards, per-shard shed watermark %d", *shards, max(1, *watermark / *shards))
-		if journal != nil {
-			n := router.Recover(journaled, pool)
-			log.Printf("journal: recovered %d of %d journaled sessions", n, len(journaled))
-		}
-		if cluster != nil {
-			cluster.Bind(router, pool)
-		}
-		srv = router
-	} else {
-		server, err := ingest.NewServer(cfg)
-		if err != nil {
-			return err
-		}
-		if journal != nil {
-			n := server.Recover(journaled, pool)
-			log.Printf("journal: recovered %d of %d journaled sessions", n, len(journaled))
-		}
-		if cluster != nil {
-			cluster.Bind(server, pool)
-		}
-		srv = server
+	if journal != nil {
+		n := srv.Recover(journaled, pool)
+		log.Printf("journal: recovered %d of %d journaled sessions", n, len(journaled))
 	}
 	if cluster != nil {
+		cluster.Bind(srv, pool)
 		cluster.Start()
 		defer cluster.Close()
 	}

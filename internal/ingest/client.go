@@ -225,7 +225,12 @@ type ReplayOptions struct {
 	// mid-print. The server fills the missing half and health quarantine
 	// retires the channel.
 	CutChannels []int
-	// MaxDials bounds connection attempts, first dial included (default 8).
+	// MaxDials bounds connection attempts per outage, first dial included
+	// (default 8). An outage ends once a redialed connection makes commit
+	// progress — the server's committed counts at the next handshake exceed
+	// those at the one before — so a long print survives any number of
+	// network blips, while a server that accepts and immediately loses
+	// every connection still exhausts the budget.
 	MaxDials int
 	// Peers is the full static cluster membership, identical to the
 	// servers' -peers list. When set, the first dial targets the session's
@@ -262,7 +267,8 @@ type ReplayStats struct {
 	// the tail flush plus the server's final decision, the latency an
 	// operator waits on at the end of a print.
 	FinishLatency time.Duration
-	// Dials is how many connections the replay used (1 = no reconnects).
+	// Dials is how many connection attempts the replay made in total, across
+	// every outage (1 = no reconnects).
 	Dials int
 	// Redirects counts Redirect frames followed to another peer.
 	Redirects int
@@ -312,7 +318,8 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 	frames, totals := buildSchedule(signals, h.Channels, rng, opt)
 
 	// dial retries transient connection failures with seeded, jittered
-	// exponential backoff, spending whatever remains of the MaxDials budget.
+	// exponential backoff, spending whatever remains of the current outage's
+	// MaxDials budget.
 	// ECONNREFUSED is transient here: a restarting daemon refuses connections
 	// until its listener is back, and that window is exactly what the backoff
 	// is for. So is the server's "already attached" rejection: a deliberate
@@ -331,6 +338,10 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 	// view lags ours — wait out a backoff step and recompute instead of
 	// bouncing into a refused connection.
 	dials, redirects, stateLost := 0, 0, 0
+	// outage counts the dials charged to the current outage. chargedAtConn is
+	// what it stood at when the previous connection came up, and
+	// lastCommitted the committed total that handshake reported.
+	outage, chargedAtConn, lastCommitted := 0, 0, uint64(0)
 	dead := make([]bool, len(opt.Peers))
 	redirected := "" // sticky preferred target: last redirect followed or dial that worked
 	idxOf := func(a string) int {
@@ -366,9 +377,9 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 	}
 	dial := func() (*Client, error) {
 		for {
-			budget := opt.MaxDials - dials
+			budget := opt.MaxDials - outage
 			if budget < 1 {
-				return nil, fmt.Errorf("ingest: dial budget exhausted after %d attempts", dials)
+				return nil, fmt.Errorf("ingest: dial budget exhausted after %d attempts", outage)
 			}
 			lastTarget := ""
 			c, err := resilience.Do(context.Background(), resilience.Policy{
@@ -386,6 +397,7 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 				},
 			}, func(context.Context) (*Client, error) {
 				dials++
+				outage++
 				lastTarget = target()
 				cl, err := Dial(lastTarget, h, opt.Timeout)
 				if err != nil && resilience.IsTransientNetwork(err) {
@@ -403,6 +415,7 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 				// Steering, not a failed dial: refund the attempt and charge
 				// the separate redirect budget.
 				dials--
+				outage--
 				redirects++
 				if redirects > opt.MaxRedirects {
 					return nil, fmt.Errorf("ingest: redirect loop: session %s bounced %d times (max redirects %d), last toward %s",
@@ -432,6 +445,19 @@ func Replay(addr string, h Hello, signals []*sigproc.Signal, opt ReplayOptions) 
 			// to the peer that holds it.
 			h.ExpectResume = true
 			redirected = lastTarget
+			// The server committed more than it had at the previous handshake,
+			// so the previous connection made progress: the dials spent
+			// reaching it are settled, and only those since it dropped stay
+			// charged. A connection that made none leaves the whole run of
+			// dials charged to one outage.
+			var committed uint64
+			for _, n := range c.Committed {
+				committed += n
+			}
+			if committed > lastCommitted {
+				outage -= chargedAtConn
+			}
+			chargedAtConn, lastCommitted = outage, committed
 			return c, nil
 		}
 	}

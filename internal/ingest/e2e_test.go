@@ -15,6 +15,7 @@ import (
 	"nsync/internal/core"
 	"nsync/internal/dwm"
 	"nsync/internal/obs"
+	"nsync/internal/registry"
 	"nsync/internal/sigproc"
 )
 
@@ -120,13 +121,26 @@ func fixture(t *testing.T) *e2eFixture {
 	return e2eFx
 }
 
-func (fx *e2eFixture) pool(k int) *MonitorPool {
-	return &MonitorPool{
-		Build: func() (*core.FusedMonitor, error) {
-			return core.NewFusedMonitor(fx.chans, core.FusedConfig{K: k})
-		},
-		Channels: fx.specs,
+// model packages the trained fixture as a registry model; k varies the vote
+// quorum, which also varies the content address.
+func (fx *e2eFixture) model(k int) *registry.Model {
+	m := &registry.Model{K: k}
+	for _, ch := range fx.chans {
+		m.Channels = append(m.Channels, registry.ChannelModel{
+			Name: ch.Name, Reference: ch.Reference, Params: ch.Params,
+			Thresholds: ch.Thresholds, Health: ch.Health,
+		})
 	}
+	return m
+}
+
+// pool serves the fixture model at quorum k from a SharedPool.
+func (fx *e2eFixture) pool(k int) *SharedPool {
+	p := NewSharedPool(nil)
+	if _, err := p.Register(fx.model(k)); err != nil {
+		panic(err) // the fixture model is valid by construction
+	}
+	return p
 }
 
 // inProcessVerdict is the ground truth: the same runs pushed straight into

@@ -116,14 +116,3 @@ func (srv *Server) recoverOne(rs RecoveredSession, f RestoringFactory) bool {
 	s.detach(srv.cfg.Retention)
 	return true
 }
-
-// Recover steers each journaled session to its shard — the same jump-hash
-// placement a reconnecting client's Hello will get — and recovers it there.
-func (r *Router) Recover(sessions []RecoveredSession, f RestoringFactory) int {
-	recovered := 0
-	for _, rs := range sessions {
-		shard := r.shards[r.ShardFor(rs.SessionID)]
-		recovered += shard.Recover([]RecoveredSession{rs}, f)
-	}
-	return recovered
-}

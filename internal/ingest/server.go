@@ -42,13 +42,13 @@ type Config struct {
 	// unlimited). Ignored when Tenants is set.
 	TenantQuota TenantQuota
 	// Tenants, when set, is the tenant accounting table to enforce quotas
-	// against. Share one table across a Router's shards so quotas hold
-	// fleet-wide; leave nil to let the server build its own from
+	// against — nsyncd builds it itself so the cluster layer can gossip its
+	// usage to peers; leave nil to let the server build its own from
 	// TenantQuota.
 	Tenants *TenantTable
 	// Journal, when set, records session lifecycle and periodic resume
 	// points so a restarted server can recover detached sessions
-	// (DESIGN.md §16). Share one journal across a Router's shards.
+	// (DESIGN.md §16).
 	Journal *Journal
 	// SnapshotEveryFrames is how many consumed frames pass between journal
 	// snapshots of a session's committed counts and monitor state
@@ -130,12 +130,15 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // Serve accepts connections on l until Shutdown closes it. It returns nil
-// after a graceful shutdown, or the accept error otherwise.
+// after a graceful shutdown, or the accept error otherwise. Serving a server
+// that is already draining closes l and returns nil at once: a shutdown
+// that wins the race against Serve is still a graceful shutdown.
 func (srv *Server) Serve(l net.Listener) error {
 	srv.mu.Lock()
 	if srv.draining {
 		srv.mu.Unlock()
-		return errors.New("ingest: server is draining")
+		l.Close() //nolint:errcheck // shutdown path
+		return nil
 	}
 	srv.listeners[l] = struct{}{}
 	srv.mu.Unlock()
@@ -194,13 +197,7 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 			s.wake()
 		} else {
 			// No handler: flush directly so the session still completes.
-			sess := s
-			go func() {
-				if err := sess.enqueue(queued{reason: "drained"}, 0); err == nil {
-					<-sess.outcomeCh
-					metDrained.Inc()
-				}
-			}()
+			s.flushDetached()
 		}
 	}
 	done := make(chan struct{})
@@ -250,7 +247,23 @@ func (srv *Server) handle(conn net.Conn) {
 	if srv.redirect(conn, hello) {
 		return
 	}
-	srv.serveConn(conn, br, hello)
+	s, reject := srv.admit(hello)
+	if reject != "" {
+		srv.writeError(conn, reject)
+		return
+	}
+	if err := srv.attachWithGrace(s, conn); err != nil {
+		metRejected.Inc()
+		srv.writeError(conn, "session already attached")
+		return
+	}
+	conn.SetWriteDeadline(time.Now().Add(srv.cfg.WriteTimeout)) //nolint:errcheck // net.Conn deadlines
+	if err := WriteFrame(conn, &Frame{Type: FrameHelloAck, Committed: s.committedSnapshot()}); err != nil {
+		s.detach(srv.cfg.Retention)
+		return
+	}
+	srv.logf("session %s: attached (priority %d, %d channels)", s.id, s.priority, len(s.reseq))
+	srv.pump(conn, br, s)
 }
 
 // redirect answers a Hello owned by another peer with a Redirect frame and
@@ -278,29 +291,6 @@ func (srv *Server) hasSession(id string) bool {
 	defer srv.mu.Unlock()
 	_, ok := srv.sessions[id]
 	return ok
-}
-
-// serveConn runs the post-handshake lifetime of one connection whose Hello
-// has already been read — the entry point a Router uses after steering the
-// connection to its shard. The caller owns closing conn.
-func (srv *Server) serveConn(conn net.Conn, br *bufio.Reader, hello *Frame) {
-	s, reject := srv.admit(hello)
-	if reject != "" {
-		srv.writeError(conn, reject)
-		return
-	}
-	if err := srv.attachWithGrace(s, conn); err != nil {
-		metRejected.Inc()
-		srv.writeError(conn, "session already attached")
-		return
-	}
-	conn.SetWriteDeadline(time.Now().Add(srv.cfg.WriteTimeout)) //nolint:errcheck // net.Conn deadlines
-	if err := WriteFrame(conn, &Frame{Type: FrameHelloAck, Committed: s.committedSnapshot()}); err != nil {
-		s.detach(srv.cfg.Retention)
-		return
-	}
-	srv.logf("session %s: attached (priority %d, %d channels)", s.id, s.priority, len(s.reseq))
-	srv.pump(conn, br, s)
 }
 
 // attachWithGrace binds conn to the session, briefly retrying while the
@@ -404,9 +394,16 @@ func (srv *Server) drainSession(conn net.Conn, s *session) {
 	srv.logf("session %s: drained", s.id)
 }
 
-// deliverOutcome waits for the worker's terminal outcome and reports it.
+// deliverOutcome waits for the worker's terminal outcome and reports it. A
+// session terminated while its client awaited the verdict reports why — a
+// drain that handed it to a successor says "migrated", which the client
+// follows instead of failing.
 func (srv *Server) deliverOutcome(conn net.Conn, s *session) {
 	out := <-s.outcomeCh
+	if errors.Is(out.err, errTerminated) {
+		srv.writeError(conn, s.terminationMessage())
+		return
+	}
 	if out.err != nil {
 		srv.writeError(conn, fmt.Sprintf("session failed: %v", out.err))
 		return
@@ -453,6 +450,13 @@ func (srv *Server) admit(hello *Frame) (*session, string) {
 		if s.terminated() {
 			metRejected.Inc()
 			return nil, s.terminationMessage()
+		}
+		if s.ended.Load() {
+			// Its verdict is out and its worker is leaving: a client reusing
+			// the id the moment the verdict arrived gets a fresh session once
+			// the old one is gone, not a resume into a finished one.
+			<-s.done
+			return srv.admit(hello)
 		}
 		return srv.resume(hello, s)
 	}

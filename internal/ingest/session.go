@@ -102,6 +102,10 @@ type session struct {
 	done      chan struct{} // closed when the worker exits
 	termOnce  sync.Once
 	termMsg   atomic.Pointer[string]
+	drainOnce sync.Once
+	// ended is set once the worker has produced its outcome; the session is
+	// about to leave the server and can no longer be resumed.
+	ended atomic.Bool
 
 	mu        sync.Mutex
 	conn      net.Conn // attached connection; nil while detached
@@ -181,18 +185,23 @@ func (s *session) enqueue(q queued, timeout time.Duration) error {
 // run is the session worker: the only goroutine that touches the
 // resequencers and the sink. It exits after sending exactly one outcome
 // (verdict or error) or after termination, and removal from the server
-// happens here so it cannot race a new session reusing the id.
+// happens here so it cannot race a new session reusing the id: ended is
+// set before the outcome goes out, and done closes only after the removal.
 func (s *session) run() {
-	defer func() {
-		close(s.done)
-		s.srv.removeSession(s)
-	}()
+	out := s.work()
+	s.ended.Store(true)
+	s.outcomeCh <- out
+	s.srv.removeSession(s)
+	close(s.done)
+}
+
+// work runs the worker loop until the session's outcome is decided.
+func (s *session) work() outcome {
 	for {
 		select {
 		case <-s.quit:
 			s.discardQueue()
-			s.outcomeCh <- outcome{err: errTerminated}
-			return
+			return outcome{err: errTerminated}
 		case q := <-s.queue:
 			s.srv.depth.Add(-1)
 			metDepth.Add(-1)
@@ -205,14 +214,12 @@ func (s *session) run() {
 			}
 			if q.reason != "" {
 				v, err := s.finish(q.reason)
-				s.outcomeCh <- outcome{v: v, err: err}
-				return
+				return outcome{v: v, err: err}
 			}
 			if err := s.consume(q.f); err != nil {
 				s.terminate(fmt.Sprintf("session failed: %v", err))
 				s.discardQueue()
-				s.outcomeCh <- outcome{err: err}
-				return
+				return outcome{err: err}
 			}
 		}
 	}
@@ -409,7 +416,11 @@ func (s *session) attach(conn net.Conn) error {
 
 // detach releases the connection and starts the retention countdown: the
 // client has this long to reconnect and resume before the session is
-// evicted.
+// evicted. On a draining server nobody can reconnect, so the session is
+// flushed instead. The draining check runs under s.mu, the same lock
+// Shutdown holds when it decides whether a session is attached, so a
+// session that detaches while Shutdown runs is flushed by one side or the
+// other, never left waiting out its retention.
 func (s *session) detach(retention time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -424,9 +435,26 @@ func (s *session) detach(retention time.Duration) {
 			j.Detach(s.id)
 		}
 	}
+	if s.srv.isDraining() {
+		s.flushDetached()
+		return
+	}
 	s.retention = time.AfterFunc(retention, func() {
 		s.terminate("session retention expired")
 		metEvicted.Inc()
+	})
+}
+
+// flushDetached drains a session no handler is attached to, so it still
+// completes with a final verdict. Only the first call flushes.
+func (s *session) flushDetached() {
+	s.drainOnce.Do(func() {
+		go func() {
+			if err := s.enqueue(queued{reason: "drained"}, 0); err == nil {
+				<-s.outcomeCh
+				metDrained.Inc()
+			}
+		}()
 	})
 }
 

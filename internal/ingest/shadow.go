@@ -1,9 +1,8 @@
 package ingest
 
 import (
-	"sync"
-
 	"nsync/internal/obs"
+	"nsync/internal/registry"
 )
 
 // Per-version push latency timers: how long the active and shadow models
@@ -14,121 +13,97 @@ var (
 	shadowPushTimer = obs.GetTimer("model.shadow.push")
 )
 
-// SwapFactory is a SinkFactory that can be re-pointed at a new primary
-// factory — and optionally run a second, shadow factory side-by-side —
-// while sessions are live. Sessions acquired before a Swap keep the sinks
-// they started with and are released back to the factory that created them,
-// so a hot-swap never drops or corrupts an in-flight session; only sessions
-// admitted after the swap see the new model.
-//
-// The shadow path is the evaluation half of the registry's promotion walk:
-// every session is fed to both the primary and the shadow sink, both
-// verdicts are reported through the OnVerdict callback, and the session's
-// authoritative verdict is the primary's — unless the shadow was marked
-// serving (canary), in which case the shadow verdict is returned while the
-// primary still runs for comparison.
-type SwapFactory struct {
-	mu        sync.Mutex
-	primary   SinkFactory
-	shadow    SinkFactory
+// shadowSetting is the pool's installed shadow: the candidate's entry (on
+// which the setting holds one ref), whether its verdict is authoritative,
+// and who hears about both verdicts.
+type shadowSetting struct {
+	entry     *sharedEntry
 	serve     bool
 	onVerdict func(primary, shadow *Verdict)
 }
 
-// NewSwapFactory wraps the boot-time primary factory.
-func NewSwapFactory(primary SinkFactory) *SwapFactory {
-	return &SwapFactory{primary: primary}
-}
-
-// Swap re-points new sessions at p. In-flight sessions are unaffected.
-func (f *SwapFactory) Swap(p SinkFactory) {
-	f.mu.Lock()
-	f.primary = p
-	f.mu.Unlock()
-}
-
-// SetShadow installs a shadow factory for new sessions. When serve is true
-// the shadow's verdict is authoritative (canary); onVerdict, if non-nil, is
-// called with both verdicts whenever a session produced both.
-func (f *SwapFactory) SetShadow(s SinkFactory, serve bool, onVerdict func(primary, shadow *Verdict)) {
-	f.mu.Lock()
-	f.shadow = s
-	f.serve = serve
-	f.onVerdict = onVerdict
-	f.mu.Unlock()
+// SetShadow installs m as the shadow model for sessions admitted from now
+// on — the evaluation half of the registry's promotion walk. Each session
+// is teed into a monitor on m next to its primary; onVerdict, if non-nil,
+// receives both verdicts whenever the session produced both; and when
+// serve is true the shadow's verdict is the one returned (canary) while the
+// primary still runs for comparison.
+//
+// The shadow is an ordinary unpinned pool entry, resolvable by version like
+// any other, on which the setting holds a ref: it stays resident while
+// installed and is evicted once ClearShadow drops that ref and its last
+// session releases — unless Register pinned it in between, which is what
+// promotion does.
+func (p *SharedPool) SetShadow(m *registry.Model, serve bool, onVerdict func(primary, shadow *Verdict)) error {
+	v, err := validVersion(m)
+	if err != nil {
+		return err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e, ok := p.entries[v]
+	if !ok {
+		e = newSharedEntry(v, m, false)
+		p.entries[v] = e
+	}
+	e.refs++ // taken before the old hold drops, in case it is the same entry
+	p.dropShadowLocked()
+	p.shadow = shadowSetting{entry: e, serve: serve, onVerdict: onVerdict}
+	return nil
 }
 
 // SetServe flips whether the shadow's verdict is authoritative for sessions
 // admitted from now on (shadow → canary).
-func (f *SwapFactory) SetServe(serve bool) {
-	f.mu.Lock()
-	f.serve = serve
-	f.mu.Unlock()
+func (p *SharedPool) SetServe(serve bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.shadow.serve = serve
 }
 
-// ClearShadow removes the shadow path for new sessions. Sessions already
-// carrying a shadow sink finish it and release it to its origin factory.
-func (f *SwapFactory) ClearShadow() {
-	f.mu.Lock()
-	f.shadow = nil
-	f.serve = false
-	f.onVerdict = nil
-	f.mu.Unlock()
+// ClearShadow removes the shadow for new sessions. Sessions already
+// carrying a shadow sink finish it and release it to its entry.
+func (p *SharedPool) ClearShadow() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.dropShadowLocked()
 }
 
-// Acquire implements SinkFactory. The primary acquire is load-bearing; a
-// shadow acquire failure only degrades the session to primary-only — a
-// broken candidate model must never cost a live session.
-func (f *SwapFactory) Acquire(hello *Frame) (Sink, error) {
-	f.mu.Lock()
-	primary, shadow, serve, onVerdict := f.primary, f.shadow, f.serve, f.onVerdict
-	f.mu.Unlock()
+// dropShadowLocked releases the installed shadow's hold on its entry.
+// Callers hold p.mu.
+func (p *SharedPool) dropShadowLocked() {
+	if e := p.shadow.entry; e != nil {
+		p.shadow = shadowSetting{}
+		e.refs--
+		p.evictLocked(e)
+	}
+}
 
-	ps, err := primary.Acquire(hello)
+// teeShadow pairs a primary sink with a sink on the installed shadow, or
+// returns the primary itself when no shadow is installed. The shadow is
+// best-effort: one that cannot serve the session — a different channel
+// layout, a monitor that fails to build — leaves it primary-only, because
+// a broken candidate model must never cost a live session.
+func (p *SharedPool) teeShadow(hello *Frame, primary *sharedSink) Sink {
+	p.mu.Lock()
+	sh := p.shadow
+	if sh.entry == nil || matchChannelSpecs(hello.Channels, sh.entry.specs) != nil {
+		p.mu.Unlock()
+		return primary
+	}
+	fm := sh.entry.checkoutLocked()
+	p.mu.Unlock()
+	shadow, err := p.sink(sh.entry, fm)
 	if err != nil {
-		return nil, err
+		return primary
 	}
-	if shadow != nil {
-		if ss, err := shadow.Acquire(hello); err == nil {
-			return &shadowSink{
-				primary: ps, pOrigin: primary,
-				shadow: ss, sOrigin: shadow,
-				serve: serve, onVerdict: onVerdict,
-			}, nil
-		}
-	}
-	return &routedSink{Sink: ps, origin: primary}, nil
+	return &shadowSink{primary: primary, shadow: shadow, serve: sh.serve, onVerdict: sh.onVerdict}
 }
 
-// Release implements SinkFactory: each wrapped sink goes back to the factory
-// that created it, which may no longer be the current primary.
-func (f *SwapFactory) Release(s Sink) {
-	switch w := s.(type) {
-	case *routedSink:
-		w.origin.Release(w.Sink)
-	case *shadowSink:
-		w.pOrigin.Release(w.primary)
-		w.sOrigin.Release(w.shadow)
-	}
-}
-
-// routedSink remembers which factory a primary-only sink came from.
-type routedSink struct {
-	Sink
-	origin SinkFactory
-}
-
-// Unwrap exposes the wrapped sink so journaling can reach the stateful
-// monitor sink underneath.
-func (w *routedSink) Unwrap() Sink { return w.Sink }
-
-// shadowSink tees a session into the primary and shadow sinks. The shadow
+// shadowSink tees a session into its primary and shadow sinks. The shadow
 // is best-effort: its first error drops it for the rest of the session.
 type shadowSink struct {
-	primary Sink
-	pOrigin SinkFactory
-	shadow  Sink
-	sOrigin SinkFactory
+	primary *sharedSink
+	shadow  *sharedSink
 
 	serve      bool
 	onVerdict  func(primary, shadow *Verdict)
@@ -137,8 +112,7 @@ type shadowSink struct {
 
 // Unwrap exposes the primary sink — the authoritative detector state — so
 // journal snapshots capture it. Shadow state is evaluation-only and is
-// deliberately not persisted: after a crash a recovered session resumes
-// primary-only.
+// deliberately not persisted: a recovered session resumes primary-only.
 func (s *shadowSink) Unwrap() Sink { return s.primary }
 
 // Push implements Sink.

@@ -20,8 +20,14 @@ import (
 // installed with Register are pinned and survive idle periods.
 //
 // A session selects its model by content address in Hello.Model; an empty
-// address means the pool's default. Monitors are recycled per entry the way
-// MonitorPool recycles them (Reset on release, bounded idle list).
+// address means the pool's default. Monitors are recycled per entry: Release
+// resets a monitor (core guarantees a reset monitor matches a fresh one) and
+// parks it on a bounded idle list of the entry that built it, so steady-state
+// operation allocates no new monitors.
+//
+// The pool also owns the candidate side of a model's lifecycle (shadow.go):
+// a shadow model is a second entry every new session is teed into, and
+// promotion is Register + SetDefault + ClearShadow.
 type SharedPool struct {
 	// Store, when set, resolves model versions not yet resident. Leave nil
 	// to serve only Registered models.
@@ -33,10 +39,12 @@ type SharedPool struct {
 	mu      sync.Mutex
 	def     string // default version for Hellos with no Model
 	entries map[string]*sharedEntry
+	shadow  shadowSetting
 }
 
 // sharedEntry is one resident model and its recycled monitors. refs counts
-// live sinks; pinned entries ignore refs for eviction.
+// live sinks plus an installed shadow's hold; pinned entries ignore refs for
+// eviction.
 type sharedEntry struct {
 	version string
 	model   *registry.Model
@@ -55,10 +63,7 @@ func NewSharedPool(store *registry.Store) *SharedPool {
 // Register makes a model resident and pinned, returning its content
 // address. The first registered model becomes the pool's default.
 func (p *SharedPool) Register(m *registry.Model) (string, error) {
-	if err := m.Validate(); err != nil {
-		return "", err
-	}
-	v, err := m.Version()
+	v, err := validVersion(m)
 	if err != nil {
 		return "", err
 	}
@@ -73,6 +78,14 @@ func (p *SharedPool) Register(m *registry.Model) (string, error) {
 		p.def = v
 	}
 	return v, nil
+}
+
+// validVersion validates m and returns its content address.
+func validVersion(m *registry.Model) (string, error) {
+	if err := m.Validate(); err != nil {
+		return "", err
+	}
+	return m.Version()
 }
 
 // SetDefault selects the version Hellos with an empty Model field get. The
@@ -90,8 +103,8 @@ func (p *SharedPool) Default() string {
 	return p.def
 }
 
-// Resident reports how many models are currently resident and how many
-// sessions hold sinks across them.
+// Resident reports how many models are currently resident and how many refs
+// (session sinks, plus an installed shadow's hold) they carry.
 func (p *SharedPool) Resident() (models, refs int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -167,7 +180,8 @@ func (p *SharedPool) AdoptBlob(version string, blob []byte) (string, error) {
 	return p.Register(&m)
 }
 
-// Refs reports how many live sinks the given version has.
+// Refs reports how many refs the given version has: live sinks, plus one
+// while it is the installed shadow.
 func (p *SharedPool) Refs(version string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -185,12 +199,22 @@ func newSharedEntry(v string, m *registry.Model, pinned bool) *sharedEntry {
 	return &sharedEntry{version: v, model: m, specs: specs, pinned: pinned}
 }
 
-// Acquire implements SinkFactory: it resolves the Hello's model (resident,
-// or loaded from the Store and made resident), validates the channel layout
-// against it, and hands out a monitor — recycled if one is idle, freshly
-// built otherwise. The entry's refcount is taken before the build runs so a
-// concurrent Release cannot evict the entry out from under it.
+// Acquire implements SinkFactory: it hands out a sink on the Hello's model
+// and, while a shadow is installed, tees it into the shadow model too. With
+// no shadow the sink is the primary *sharedSink itself, unwrapped.
 func (p *SharedPool) Acquire(hello *Frame) (Sink, error) {
+	ps, err := p.acquire(hello)
+	if err != nil {
+		return nil, err
+	}
+	return p.teeShadow(hello, ps), nil
+}
+
+// acquire resolves the Hello's model (resident, or loaded from the Store and
+// made resident), validates the channel layout against it, and hands out a
+// sink on it. The entry's refcount is taken before the monitor is built so a
+// concurrent Release cannot evict the entry out from under it.
+func (p *SharedPool) acquire(hello *Frame) (*sharedSink, error) {
 	p.mu.Lock()
 	version := hello.Model
 	if version == "" {
@@ -220,12 +244,26 @@ func (p *SharedPool) Acquire(hello *Frame) (Sink, error) {
 		p.mu.Unlock()
 		return nil, err
 	}
+	fm := e.checkoutLocked()
+	p.mu.Unlock()
+	return p.sink(e, fm)
+}
+
+// checkoutLocked takes a ref on e and pops a recycled monitor, or returns
+// nil when none is idle. Callers hold the pool's mutex.
+func (e *sharedEntry) checkoutLocked() *core.FusedMonitor {
 	e.refs++
 	var fm *core.FusedMonitor
 	if n := len(e.idle); n > 0 {
 		fm, e.idle = e.idle[n-1], e.idle[:n-1]
 	}
-	p.mu.Unlock()
+	return fm
+}
+
+// sink completes a checkout outside the lock, building a fresh monitor from
+// the entry's model when none was recycled. A failed build gives the ref
+// back.
+func (p *SharedPool) sink(e *sharedEntry, fm *core.FusedMonitor) (*sharedSink, error) {
 	if fm == nil {
 		var err error
 		if fm, err = e.model.Monitor(); err != nil {
@@ -254,14 +292,23 @@ func (p *SharedPool) load(version string) (*sharedEntry, error) {
 	return newSharedEntry(version, m, false), nil
 }
 
-// Release implements SinkFactory: the monitor is reset and parked on its
-// entry's idle list, and an unpinned entry whose last sink just left is
-// evicted along with its recycled monitors.
+// Release implements SinkFactory: each monitor — the primary's and, for a
+// teed session, the shadow's — goes back to the entry that built it, which
+// may no longer be the default or the installed shadow.
 func (p *SharedPool) Release(s Sink) {
-	ss, ok := s.(*sharedSink)
-	if !ok {
-		return
+	switch w := s.(type) {
+	case *sharedSink:
+		p.release(w)
+	case *shadowSink:
+		p.release(w.primary)
+		p.release(w.shadow)
 	}
+}
+
+// release resets the monitor and parks it on its entry's idle list; an
+// unpinned entry whose last ref just left is evicted along with its
+// recycled monitors.
+func (p *SharedPool) release(ss *sharedSink) {
 	ss.fm.Reset()
 	maxIdle := p.MaxIdlePerModel
 	if maxIdle <= 0 {
@@ -298,26 +345,23 @@ type sharedSink struct {
 // detector the session was pinned to.
 func (s *sharedSink) ModelVersion() string { return s.entry.version }
 
-// Restore implements RestoringFactory: it acquires a sink exactly as a live
-// admission would — resolving the journaled model version through the pool
-// and validating the channel layout — then overwrites the monitor with the
-// journaled snapshot. A nil state (the session crashed before its first
-// snapshot) yields a fresh sink; the client simply re-sends from the start.
+// Restore implements RestoringFactory: it acquires a primary sink exactly
+// as a live admission would — resolving the journaled model version through
+// the pool and validating the channel layout — then overwrites the monitor
+// with the journaled snapshot. A nil state (the session crashed before its
+// first snapshot) yields a fresh sink; the client simply re-sends from the
+// start. A restored session is never teed into the shadow: a candidate fed
+// only the tail of a print would judge a stream it never saw begin.
 func (p *SharedPool) Restore(hello *Frame, state []byte) (Sink, error) {
-	s, err := p.Acquire(hello)
+	s, err := p.acquire(hello)
 	if err != nil {
 		return nil, err
 	}
 	if len(state) == 0 {
 		return s, nil
 	}
-	ss, ok := unwrapSink(s).(StatefulSink)
-	if !ok {
-		p.Release(s)
-		return nil, fmt.Errorf("ingest: pool sink cannot restore state")
-	}
-	if err := ss.RestoreState(state); err != nil {
-		p.Release(s) // Release resets the monitor, clearing any partial apply
+	if err := s.RestoreState(state); err != nil {
+		p.release(s) // release resets the monitor, clearing any partial apply
 		return nil, err
 	}
 	return s, nil

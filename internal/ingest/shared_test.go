@@ -13,15 +13,7 @@ import (
 // varies the vote quorum, which also varies the content address.
 func fixtureModel(t *testing.T, k int) *registry.Model {
 	t.Helper()
-	fx := fixture(t)
-	m := &registry.Model{K: k}
-	for _, ch := range fx.chans {
-		m.Channels = append(m.Channels, registry.ChannelModel{
-			Name: ch.Name, Reference: ch.Reference, Params: ch.Params,
-			Thresholds: ch.Thresholds, Health: ch.Health,
-		})
-	}
-	return m
+	return fixture(t).model(k)
 }
 
 func (fx *e2eFixture) helloFrame(id, model string) *Frame {
